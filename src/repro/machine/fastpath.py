@@ -5,15 +5,20 @@ handler table and walk the operand list (``ins.operand("rA")``) on
 every executed instruction.  This module trades a one-time *predecode*
 pass for a fast steady state, QEMU-style:
 
-* :func:`bound_thunk` compiles one :class:`~repro.isa.instruction.
-  Instruction` into a *bound thunk* — a closure over the already
-  extracted operand values and register numbers that applies the
-  instruction to ``(state, memory)`` directly.  Thunks are memoized
-  process-wide (instructions are frozen/hashable), so the dictionary
-  entry ``addi r3, r3, 1`` shared by every program in a batch is bound
-  exactly once.
+* Every non-control instruction is bound once to a *thunk* — a
+  ``(state, mem)`` closure over its already extracted operands —
+  generated from the statement-template table in
+  :mod:`repro.machine.fusion` (:func:`bound_thunk`, memoized
+  process-wide on ``(mnemonic, values)``).  That table is the fast
+  path's only statement of PowerPC semantics; the executor's
+  ``_HANDLERS`` stay the independent oracle it is tested against.
+* Every control instruction is compiled by one builder,
+  :func:`build_control`, into a closure ``control(state, sim) ->
+  next position``.  The builder is parameterised over the cache's
+  addressing — program indices or compressed-stream ``(item_index,
+  micro)`` keys — and optionally absorbs a fused lead instruction.
 * A *translation cache* groups consecutive thunks into straight-line
-  **traces** that end at a control-flow instruction.  Executing a trace
+  **traces** that end at a control instruction.  Executing a trace
   is a single dict lookup plus a tight loop over plain callables — the
   dispatch loop is re-entered per trace, not per instruction.
 * :class:`ProgramTranslationCache` serves the uncompressed
@@ -46,527 +51,26 @@ timer; trace-cache effectiveness is reported through the
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
 import threading
 import time
 
-from repro import bitutils, observe
-from repro.errors import DecompressionError, SimulationError
+from repro import observe
+from repro.errors import SimulationError
 from repro.machine import fusion
-from repro.isa import registers
-from repro.isa.instruction import Instruction
-from repro.machine.executor import CONTROL_MNEMONICS, _HANDLERS, _divw_impl
+from repro.machine.executor import CONTROL_MNEMONICS
+from repro.machine.fusion import bound_thunk
 from repro.machine.simulator import (
-    HALT_ADDRESS,
     RunResult,
+    Simulator,
     branch_decision,
     do_syscall,
 )
-
-_U = bitutils.WORD_MASK
-_s32 = bitutils.s32
-_sign_extend = bitutils.sign_extend
-_rotl32 = bitutils.rotl32
 
 # Traces are capped so a pathological straight-line program cannot
 # build one giant body (and so the step-budget check, which is per
 # trace, stays reasonably fine-grained).  A capped trace ends with
 # ``control=None`` and chains to a continuation trace.
 MAX_TRACE = 1024
-
-
-# ---------------------------------------------------------------------------
-# Instruction binders: one per executor handler.  Each extracts the
-# operands once and returns a ``thunk(state, mem)`` closure that
-# mirrors the corresponding :mod:`repro.machine.executor` handler
-# exactly, including the trailing ``state.steps += 1``.
-# ---------------------------------------------------------------------------
-def _bind_addi(ins):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-    if ra:
-
-        def thunk(state, mem):
-            state.gpr[rt] = (_s32(state.gpr[ra]) + si) & _U
-            state.steps += 1
-
-    else:
-        value = si & _U
-
-        def thunk(state, mem):
-            state.gpr[rt] = value
-            state.steps += 1
-
-    return thunk
-
-
-def _bind_addis(ins):
-    rt, ra = ins.operand("rT"), ins.operand("rA")
-    shifted = ins.operand("SI") << 16
-    if ra:
-
-        def thunk(state, mem):
-            state.gpr[rt] = (_s32(state.gpr[ra]) + shifted) & _U
-            state.steps += 1
-
-    else:
-        value = shifted & _U
-
-        def thunk(state, mem):
-            state.gpr[rt] = value
-            state.steps += 1
-
-    return thunk
-
-
-def _bind_mulli(ins):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-
-    def thunk(state, mem):
-        state.gpr[rt] = (_s32(state.gpr[ra]) * si) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_subfic(ins):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-
-    def thunk(state, mem):
-        state.gpr[rt] = (si - _s32(state.gpr[ra])) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_logic_imm(op, shift):
-    def binder(ins):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-        imm = ins.operand("UI") << shift
-        if op == "|":
-
-            def thunk(state, mem):
-                state.gpr[ra] = state.gpr[rs] | imm
-                state.steps += 1
-
-        else:
-
-            def thunk(state, mem):
-                state.gpr[ra] = state.gpr[rs] ^ imm
-                state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_andi_dot(shift):
-    def binder(ins):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-        imm = ins.operand("UI") << shift
-
-        def thunk(state, mem):
-            result = state.gpr[rs] & imm
-            state.gpr[ra] = result
-            signed = _s32(result)
-            if signed < 0:
-                bits = 8
-            elif signed > 0:
-                bits = 4
-            else:
-                bits = 2
-            state.cr = (state.cr & ~(0xF << 28)) | (bits << 28)
-            state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_cmp(signed, immediate):
-    imm_name = "SI" if signed else "UI"
-
-    def binder(ins):
-        crf, ra = ins.operand("crfD"), ins.operand("rA")
-        shift = 28 - 4 * crf
-        clear = ~(0xF << shift)
-        if immediate:
-            rhs = ins.operand(imm_name)
-
-            def thunk(state, mem):
-                a = _s32(state.gpr[ra]) if signed else state.gpr[ra]
-                if a < rhs:
-                    bits = 8
-                elif a > rhs:
-                    bits = 4
-                else:
-                    bits = 2
-                state.cr = (state.cr & clear) | (bits << shift)
-                state.steps += 1
-
-        else:
-            rb = ins.operand("rB")
-
-            def thunk(state, mem):
-                if signed:
-                    a, b = _s32(state.gpr[ra]), _s32(state.gpr[rb])
-                else:
-                    a, b = state.gpr[ra], state.gpr[rb]
-                if a < b:
-                    bits = 8
-                elif a > b:
-                    bits = 4
-                else:
-                    bits = 2
-                state.cr = (state.cr & clear) | (bits << shift)
-                state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_add(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[rt] = (gpr[ra] + gpr[rb]) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_subf(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[rt] = (gpr[rb] - gpr[ra]) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_neg(ins):
-    rt, ra = ins.operand("rT"), ins.operand("rA")
-
-    def thunk(state, mem):
-        state.gpr[rt] = -_s32(state.gpr[ra]) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_mullw(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[rt] = (_s32(gpr[ra]) * _s32(gpr[rb])) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_divw(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[rt] = _divw_impl(_s32(gpr[ra]), _s32(gpr[rb])) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_divwu(ins):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        b = gpr[rb]
-        gpr[rt] = gpr[ra] // b if b else 0
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_logic_reg(op):
-    def binder(ins):
-        ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-        if op == "&":
-
-            def thunk(state, mem):
-                gpr = state.gpr
-                gpr[ra] = gpr[rs] & gpr[rb]
-                state.steps += 1
-
-        elif op == "|":
-
-            def thunk(state, mem):
-                gpr = state.gpr
-                gpr[ra] = gpr[rs] | gpr[rb]
-                state.steps += 1
-
-        elif op == "^":
-
-            def thunk(state, mem):
-                gpr = state.gpr
-                gpr[ra] = gpr[rs] ^ gpr[rb]
-                state.steps += 1
-
-        else:  # nor
-
-            def thunk(state, mem):
-                gpr = state.gpr
-                gpr[ra] = ~(gpr[rs] | gpr[rb]) & _U
-                state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_slw(ins):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        amount = gpr[rb] & 0x3F
-        gpr[ra] = 0 if amount > 31 else (gpr[rs] << amount) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_srw(ins):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        amount = gpr[rb] & 0x3F
-        gpr[ra] = 0 if amount > 31 else gpr[rs] >> amount
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_sraw(ins):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        amount = gpr[rb] & 0x3F
-        if amount > 31:
-            amount = 31
-        gpr[ra] = (_s32(gpr[rs]) >> amount) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_srawi(ins):
-    ra, rs, sh = ins.operand("rA"), ins.operand("rS"), ins.operand("SH")
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[ra] = (_s32(gpr[rs]) >> sh) & _U
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_rlwinm(ins):
-    ra, rs, sh = ins.operand("rA"), ins.operand("rS"), ins.operand("SH")
-    mb, me = ins.operand("MB"), ins.operand("ME")
-    if mb <= me:
-        mask = (bitutils.mask(me - mb + 1)) << (31 - me)
-    else:  # wrapped mask
-        mask = _U ^ ((bitutils.mask(mb - me - 1)) << (31 - mb + 1))
-
-    def thunk(state, mem):
-        gpr = state.gpr
-        gpr[ra] = _rotl32(gpr[rs], sh) & mask
-        state.steps += 1
-
-    return thunk
-
-
-def _bind_exts(width):
-    low_mask = (1 << width) - 1
-
-    def binder(ins):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-
-        def thunk(state, mem):
-            gpr = state.gpr
-            gpr[ra] = _sign_extend(gpr[rs] & low_mask, width) & _U
-            state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_load(size, update=False, signed=False):
-    width = 8 * size
-
-    def binder(ins):
-        disp, base = ins.operand("D(rA)")
-        rt = ins.operand("rT")
-
-        def thunk(state, mem):
-            gpr = state.gpr
-            address = ((gpr[base] if base else 0) + disp) & _U
-            value = mem.load(address, size)
-            if signed:
-                value = _sign_extend(value, width) & _U
-            gpr[rt] = value
-            if update:
-                gpr[base] = address
-            state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_store(size, update=False):
-    def binder(ins):
-        disp, base = ins.operand("D(rA)")
-        rs = ins.operand("rS")
-
-        def thunk(state, mem):
-            gpr = state.gpr
-            address = ((gpr[base] if base else 0) + disp) & _U
-            mem.store(address, size, gpr[rs])
-            if update:
-                gpr[base] = address
-            state.steps += 1
-
-        return thunk
-
-    return binder
-
-
-def _bind_mfspr(ins):
-    spr, rt = ins.operand("SPR"), ins.operand("rT")
-    if spr == registers.LR:
-
-        def thunk(state, mem):
-            state.gpr[rt] = state.lr & _U
-            state.steps += 1
-
-    elif spr == registers.CTR:
-
-        def thunk(state, mem):
-            state.gpr[rt] = state.ctr & _U
-            state.steps += 1
-
-    else:
-
-        def thunk(state, mem):
-            raise SimulationError(f"mfspr: unsupported SPR {spr}")
-
-    return thunk
-
-
-def _bind_mtspr(ins):
-    spr, rs = ins.operand("SPR"), ins.operand("rS")
-    if spr == registers.LR:
-
-        def thunk(state, mem):
-            state.lr = state.gpr[rs]
-            state.steps += 1
-
-    elif spr == registers.CTR:
-
-        def thunk(state, mem):
-            state.ctr = state.gpr[rs]
-            state.steps += 1
-
-    else:
-
-        def thunk(state, mem):
-            raise SimulationError(f"mtspr: unsupported SPR {spr}")
-
-    return thunk
-
-
-_BINDERS = {
-    "addi": _bind_addi,
-    "addis": _bind_addis,
-    "mulli": _bind_mulli,
-    "subfic": _bind_subfic,
-    "ori": _bind_logic_imm("|", 0),
-    "oris": _bind_logic_imm("|", 16),
-    "xori": _bind_logic_imm("^", 0),
-    "xoris": _bind_logic_imm("^", 16),
-    "andi.": _bind_andi_dot(0),
-    "andis.": _bind_andi_dot(16),
-    "cmpwi": _bind_cmp(signed=True, immediate=True),
-    "cmplwi": _bind_cmp(signed=False, immediate=True),
-    "cmpw": _bind_cmp(signed=True, immediate=False),
-    "cmplw": _bind_cmp(signed=False, immediate=False),
-    "add": _bind_add,
-    "subf": _bind_subf,
-    "neg": _bind_neg,
-    "mullw": _bind_mullw,
-    "divw": _bind_divw,
-    "divwu": _bind_divwu,
-    "and": _bind_logic_reg("&"),
-    "or": _bind_logic_reg("|"),
-    "xor": _bind_logic_reg("^"),
-    "nor": _bind_logic_reg("~|"),
-    "slw": _bind_slw,
-    "srw": _bind_srw,
-    "sraw": _bind_sraw,
-    "srawi": _bind_srawi,
-    "rlwinm": _bind_rlwinm,
-    "extsb": _bind_exts(8),
-    "extsh": _bind_exts(16),
-    "lwz": _bind_load(4),
-    "lwzu": _bind_load(4, update=True),
-    "lbz": _bind_load(1),
-    "lbzu": _bind_load(1, update=True),
-    "lhz": _bind_load(2),
-    "lha": _bind_load(2, signed=True),
-    "stw": _bind_store(4),
-    "stwu": _bind_store(4, update=True),
-    "stb": _bind_store(1),
-    "stbu": _bind_store(1, update=True),
-    "sth": _bind_store(2),
-    "mfspr": _bind_mfspr,
-    "mtspr": _bind_mtspr,
-}
-
-
-@lru_cache(maxsize=65536)
-def bound_thunk(ins: Instruction):
-    """Bind one non-control instruction to a ``(state, mem)`` closure.
-
-    Memoized process-wide: instructions are frozen dataclasses, so the
-    same word predecoded by any simulator shares one thunk.
-    """
-    binder = _BINDERS.get(ins.mnemonic)
-    if binder is not None:
-        return binder(ins)
-    handler = _HANDLERS.get(ins.mnemonic)
-    if handler is None:
-        name = ins.mnemonic
-
-        def missing(state, mem):
-            raise SimulationError(f"no semantics for {name!r}")
-
-        return missing
-
-    # A handler without a dedicated binder (future additions) still
-    # runs predecoded, through the generic executor entry.
-    def generic(state, mem):
-        handler(ins, state, mem)
-        state.steps += 1
-
-    return generic
 
 
 # ---------------------------------------------------------------------------
@@ -639,48 +143,59 @@ def _out_of_text_control(pc):
     return control
 
 
-def _program_control(program, index, ins):
-    """Compile one control instruction of an uncompressed program.
+def _fell_off_control(last_unit):
+    def control(state, sim):
+        raise SimulationError(
+            "fell off the end of the compressed stream",
+            unit_address=last_unit,
+            step=state.steps,
+        )
 
-    The closure receives ``(state, sim)`` with ``sim.pc`` already
-    synced to ``index`` (so dynamic-target resolution and halting via
-    :meth:`Simulator._to_index` see the reference PC) and returns the
-    next instruction index.
+    return control
+
+
+def build_control(cache, position, ins, lead=None):
+    """Compile one control instruction to ``control(state, sim) -> next``.
+
+    ``cache`` supplies the addressing of ``position`` (see
+    :meth:`ProgramTranslationCache.site` and
+    :meth:`StreamTranslationCache.site`): the fall-through position,
+    the link value, static branch targets and dynamic-target
+    resolution.  A fall-through or static target that does not exist
+    comes with a control raising the reference error, which the
+    closure calls after counting its step.  The closure receives
+    ``sim`` with its position synced to ``position``.
+
+    ``lead`` is the instruction before a ``bc``/``bcl``, fused into
+    the control (:data:`fusion.CONTROL_LEAD_MNEMONICS`, so it cannot
+    raise).  The closure runs lead then branch in the reference order:
+    lead (one step), ``steps += 1`` for the branch, link write,
+    decision.  A compare lead writing the branch's own CR field, with
+    no CTR decrement, lets the decision test the compare's returned
+    bits instead of re-reading ``state.cr``.
     """
     name = ins.mnemonic
-    fallthrough = index + 1
-    if name in ("b", "bl"):
-        target = index + ins.operand("target")
-        if name == "bl":
-            link = program.address_of(fallthrough)
+    fall, fell_off, link, halt = cache.site(position)
+    if name not in ("bl", "bcl", "bcctrl"):
+        link = None
+    resolve = cache.resolve
+    if name == "sc":
 
-            def control(state, sim):
-                state.steps += 1
+        def control(state, sim):
+            state.steps += 1
+            do_syscall(state)
+            if state.halted:
+                return halt
+            return fall if fall is not None else fell_off(state, sim)
+
+    elif name in ("b", "bl"):
+        target, bad_target = cache.jump(position, ins.operand("target"))
+
+        def control(state, sim):
+            state.steps += 1
+            if link is not None:
                 state.lr = link
-                return target
-
-        else:
-
-            def control(state, sim):
-                state.steps += 1
-                return target
-
-    elif name in ("bc", "bcl"):
-        bo, bi = ins.operand("BO"), ins.operand("BI")
-        target = index + ins.operand("target")
-        if name == "bcl":
-            link = program.address_of(fallthrough)
-
-            def control(state, sim):
-                state.steps += 1
-                state.lr = link
-                return target if branch_decision(state, bo, bi) else fallthrough
-
-        else:
-
-            def control(state, sim):
-                state.steps += 1
-                return target if branch_decision(state, bo, bi) else fallthrough
+            return target if target is not None else bad_target(state, sim)
 
     elif name == "bclr":
         bo, bi = ins.operand("BO"), ins.operand("BI")
@@ -688,12 +203,11 @@ def _program_control(program, index, ins):
         def control(state, sim):
             state.steps += 1
             if branch_decision(state, bo, bi):
-                return sim._to_index(state.lr)
-            return fallthrough
+                return resolve(sim, state.lr)
+            return fall if fall is not None else fell_off(state, sim)
 
     elif name in ("bcctr", "bcctrl"):
         bo, bi = ins.operand("BO"), ins.operand("BI")
-        link = program.address_of(fallthrough) if name == "bcctrl" else None
 
         def control(state, sim):
             state.steps += 1
@@ -701,76 +215,78 @@ def _program_control(program, index, ins):
             if link is not None:
                 state.lr = link
             if taken:
-                return sim._to_index(state.ctr)
-            return fallthrough
+                return resolve(sim, state.ctr)
+            return fall if fall is not None else fell_off(state, sim)
 
-    elif name == "sc":
+    else:  # bc, bcl
+        bo, bi = ins.operand("BO"), ins.operand("BI")
+        target, bad_target = cache.jump(position, ins.operand("target"))
+        feed = None if lead is None else fusion.compare_feed(lead)
+        if feed is not None and bo & 0b00100 and (bi >> 2) == feed[1]:
+            compare = feed[0]
+            always = bool(bo & 0b10000)
+            want = (bo >> 3) & 1
+            sel = 3 - (bi & 3)
 
-        def control(state, sim):
-            state.steps += 1
-            do_syscall(state)
-            return fallthrough
+            def control(state, sim):
+                bits = compare(state, sim.memory)
+                state.steps += 1
+                if link is not None:
+                    state.lr = link
+                if always or ((bits >> sel) & 1) == want:
+                    return target if target is not None else bad_target(state, sim)
+                return fall if fall is not None else fell_off(state, sim)
 
-    else:  # pragma: no cover - CONTROL_MNEMONICS is closed
-        def control(state, sim):
-            raise SimulationError(f"unhandled control instruction {name}")
+        else:
+            lead_thunk = (
+                None if lead is None else bound_thunk(lead.mnemonic, lead.values)
+            )
+
+            def control(state, sim):
+                if lead_thunk is not None:
+                    lead_thunk(state, sim.memory)
+                state.steps += 1
+                if link is not None:
+                    state.lr = link
+                if branch_decision(state, bo, bi):
+                    return target if target is not None else bad_target(state, sim)
+                return fall if fall is not None else fell_off(state, sim)
 
     return control
 
 
-def _program_control_fused(program, index, ins, lead):
-    """Compile a fused lead+branch control for an uncompressed program.
+def _fused_body(instructions, thunks):
+    """Body thunks for one straight-line span, fusing active hot pairs.
 
-    ``lead`` is the instruction at ``index - 1`` — a pure-ALU/compare
-    lead (:data:`fusion.CONTROL_LEAD_MNEMONICS`), so the lead half
-    cannot raise.  The closure executes lead then branch with the
-    exact reference order: lead (one step), ``steps += 1`` for the
-    branch, link write, decision.  Only ``bc``/``bcl`` tails fuse.
-    Returns ``None`` for any other control.
+    Pairing only changes how a body executes, never its accounting,
+    which the trace carries itself.
     """
-    name = ins.mnemonic
-    if name not in ("bc", "bcl"):
-        return None
-    fallthrough = index + 1
-    bo, bi = ins.operand("BO"), ins.operand("BI")
-    target = index + ins.operand("target")
-    link = program.address_of(fallthrough) if name == "bcl" else None
-
-    feed_crf = fusion.compare_feed(lead)
-    decrement = not (bo & 0b00100)
-    if feed_crf is not None and not decrement and (bi >> 2) == feed_crf[1]:
-        # Compare lead writing the branch's own CR field, no CTR
-        # decrement: the decision tests the just-computed LT/GT/EQ
-        # bits locally instead of re-reading state.cr.
-        feed = feed_crf[0]
-        always = bool(bo & 0b10000)
-        want = (bo >> 3) & 1
-        sel = 3 - (bi & 3)
-
-        def control(state, sim):
-            bits = feed(state)
-            state.steps += 1
-            if link is not None:
-                state.lr = link
-            if always or ((bits >> sel) & 1) == want:
-                return target
-            return fallthrough
-
-    else:
-        lead_thunk = bound_thunk(lead)
-
-        def control(state, sim):
-            lead_thunk(state, sim.memory)
-            state.steps += 1
-            if link is not None:
-                state.lr = link
-            return target if branch_decision(state, bo, bi) else fallthrough
-
-    return control
+    pairs = fusion.active_pairs()
+    if not pairs:
+        return tuple(thunks)
+    body = []
+    i, n = 0, len(thunks)
+    while i < n:
+        if i + 1 < n:
+            a, b = instructions[i], instructions[i + 1]
+            if (a.mnemonic, b.mnemonic) in pairs:
+                fused = fusion.fused_thunk(a, b)
+                if fused is not None:
+                    body.append(fused)
+                    i += 2
+                    continue
+        body.append(thunks[i])
+        i += 1
+    return tuple(body)
 
 
 class ProgramTranslationCache:
     """Predecoded ``.text`` plus lazily built traces for one Program."""
+
+    # Dynamic branch targets resolve through the simulator, whose pc
+    # is synced to the control: halting stays there, a bad address
+    # raises the reference error.
+    resolve = staticmethod(Simulator._to_index)
 
     def __init__(self, program):
         self.program = program
@@ -791,14 +307,29 @@ class ProgramTranslationCache:
                 instructions.append(ins)
                 if ins.mnemonic in CONTROL_MNEMONICS:
                     kinds[index] = 1
-                    ops.append(_program_control(program, index, ins))
+                    ops.append(build_control(self, index, ins))
                 else:
-                    ops.append(bound_thunk(ins))
+                    ops.append(bound_thunk(ins.mnemonic, ins.values))
             self.ops = ops
             self.instructions = instructions
             self.kinds = kinds
         self.predecode_seconds = time.perf_counter() - started
 
+    # -- addressing for build_control -----------------------------------
+    def site(self, index):
+        """``(fall, fell_off, link, halt)`` of the control at ``index``.
+
+        Indices past ``.text`` fail when their trace is built, so the
+        fall-through always exists; ``sc`` moves on even when it halts.
+        """
+        fall = index + 1
+        return fall, None, self.program.address_of(fall), fall
+
+    def jump(self, index, offset):
+        """``(target, bad_target)`` of a static branch at ``index``."""
+        return index + offset, None
+
+    # -- trace construction -------------------------------------------
     def trace_at(self, pc):
         trace = self.traces.get(pc)
         if trace is None:
@@ -818,21 +349,20 @@ class ProgramTranslationCache:
             index += 1
         span = index - start
         if index < n and kinds[index]:
-            fused_control = None
-            if index > start:
-                control_pairs = fusion.active_control_pairs()
-                lead = self.instructions[index - 1]
-                tail = self.instructions[index]
-                if (lead.mnemonic, tail.mnemonic) in control_pairs:
-                    fused_control = _program_control_fused(
-                        self.program, index, tail, lead
-                    )
-            if fused_control is not None:
+            instructions = self.instructions
+            if index > start and (
+                instructions[index - 1].mnemonic, instructions[index].mnemonic
+            ) in fusion.active_control_pairs():
                 # The lead is absorbed into the control: the body span
                 # (and data-pair fusion) stops one instruction early,
                 # but accounting stays instruction-granular.
-                body = self._body_span(start, index - 1)
-                trace = Trace(start, body, fused_control, None, span + 1)
+                control = build_control(
+                    self, index, instructions[index], instructions[index - 1]
+                )
+                trace = Trace(
+                    start, self._body_span(start, index - 1), control, None,
+                    span + 1,
+                )
                 trace.fused_lead_pc = index - 1
                 trace.plain_control = ops[index]
             else:
@@ -851,27 +381,7 @@ class ProgramTranslationCache:
         return trace
 
     def _body_span(self, start, end):
-        """Body thunks for ``[start, end)``, fusing active hot pairs."""
-        ops = self.ops
-        pairs = fusion.active_pairs()
-        if not pairs:
-            return tuple(ops[start:end])
-        instructions = self.instructions
-        body = []
-        i = start
-        while i < end:
-            if i + 1 < end:
-                a = instructions[i]
-                b = instructions[i + 1]
-                if (a.mnemonic, b.mnemonic) in pairs:
-                    fused = fusion.fused_thunk(a, b)
-                    if fused is not None:
-                        body.append(fused)
-                        i += 2
-                        continue
-            body.append(ops[i])
-            i += 1
-        return tuple(body)
+        return _fused_body(self.instructions[start:end], self.ops[start:end])
 
     def stats(self):
         return {
@@ -902,17 +412,6 @@ def program_cache(program) -> ProgramTranslationCache:
 # ---------------------------------------------------------------------------
 # Compressed-stream traces
 # ---------------------------------------------------------------------------
-def _fell_off_control(last_unit):
-    def control(state, sim):
-        raise SimulationError(
-            "fell off the end of the compressed stream",
-            unit_address=last_unit,
-            step=state.steps,
-        )
-
-    return control
-
-
 class StreamTranslationCache:
     """Predecoded stream columns plus traces for one compressed image.
 
@@ -938,7 +437,6 @@ class StreamTranslationCache:
         self.alignment_bits = alignment_bits
         self.traces = {}
         self._controls = {}
-        self._fused_controls = {}
         self.hits = 0
         self.misses = 0
         self.fusion_key = fusion.config_key()
@@ -948,7 +446,9 @@ class StreamTranslationCache:
         ):
             self.item_thunks = tuple(
                 tuple(
-                    None if ins.mnemonic in CONTROL_MNEMONICS else bound_thunk(ins)
+                    None
+                    if ins.mnemonic in CONTROL_MNEMONICS
+                    else bound_thunk(ins.mnemonic, ins.values)
                     for ins in instructions
                 )
                 for instructions in columns.instructions
@@ -963,249 +463,50 @@ class StreamTranslationCache:
             return (item_index + 1, 0)
         return None
 
-    def _key_for_unit(self, unit):
-        index = self.item_at_address.get(unit)
-        return None if index is None else (index, 0)
+    # -- addressing for build_control -----------------------------------
+    @staticmethod
+    def resolve(sim, address):
+        """Stream position of a dynamic branch target (LR/CTR value)."""
+        sim._goto_address(address)
+        return sim.item_index, sim.micro
 
-    def _resolve_address(self, state, sim, address, current_key):
-        """Dynamic branch target (LR/CTR value) -> stream position."""
-        if address == HALT_ADDRESS:
-            state.halted = True
-            return current_key
-        unit = address - self.text_base
-        index = self.item_at_address.get(unit)
-        if index is None:
-            raise DecompressionError(
-                f"branch to unit {unit} lands inside an encoded item",
-                unit_address=unit,
-                orig_pc=sim.origin_pc(),
-                step=state.steps,
-            )
-        return (index, 0)
+    def site(self, key):
+        """``(fall, fell_off, link, halt)`` of the control at ``key``.
 
-    # -- control compilation ------------------------------------------
-    def control_at(self, key):
-        control = self._controls.get(key)
-        if control is None:
-            control = self._build_control(key)
-            self._controls[key] = control
-        return control
-
-    def _build_control(self, key):
-        item_index, micro = key
-        item_address = self.addresses[item_index]
-        ins = self.instructions[item_index][micro]
-        name = ins.mnemonic
-        fall_key = self._next_key(item_index, micro)
-        last_unit = item_address
-        resolve = self._resolve_address
-
-        def _static_target():
-            unit = item_address + ins.operand("target")
-            target_key = self._key_for_unit(unit)
-            return unit, target_key
-
-        if name in ("b", "bl"):
-            unit, target_key = _static_target()
-            link = (
-                self.text_base + item_address + self.sizes[item_index]
-                if name == "bl"
-                else None
-            )
-
-            def control(state, sim):
-                state.steps += 1
-                if link is not None:
-                    state.lr = link
-                if target_key is None:
-                    raise DecompressionError(
-                        f"branch to unit {unit} lands inside an encoded item",
-                        unit_address=unit,
-                        orig_pc=sim.origin_pc(),
-                        step=state.steps,
-                    )
-                return target_key
-
-        elif name in ("bc", "bcl"):
-            bo, bi = ins.operand("BO"), ins.operand("BI")
-            unit, target_key = _static_target()
-            link = (
-                self.text_base + item_address + self.sizes[item_index]
-                if name == "bcl"
-                else None
-            )
-
-            def control(state, sim):
-                state.steps += 1
-                if link is not None:
-                    state.lr = link
-                if branch_decision(state, bo, bi):
-                    if target_key is None:
-                        raise DecompressionError(
-                            f"branch to unit {unit} lands inside an encoded item",
-                            unit_address=unit,
-                            orig_pc=sim.origin_pc(),
-                            step=state.steps,
-                        )
-                    return target_key
-                if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
-                return fall_key
-
-        elif name == "bclr":
-            bo, bi = ins.operand("BO"), ins.operand("BI")
-
-            def control(state, sim):
-                state.steps += 1
-                if branch_decision(state, bo, bi):
-                    return resolve(state, sim, state.lr, key)
-                if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
-                return fall_key
-
-        elif name in ("bcctr", "bcctrl"):
-            bo, bi = ins.operand("BO"), ins.operand("BI")
-            link = (
-                self.text_base + item_address + self.sizes[item_index]
-                if name == "bcctrl"
-                else None
-            )
-
-            def control(state, sim):
-                state.steps += 1
-                taken = branch_decision(state, bo, bi)
-                if link is not None:
-                    state.lr = link
-                if taken:
-                    return resolve(state, sim, state.ctr, key)
-                if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
-                return fall_key
-
-        elif name == "sc":
-
-            def control(state, sim):
-                state.steps += 1
-                do_syscall(state)
-                if state.halted:
-                    return key
-                if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
-                return fall_key
-
-        else:  # pragma: no cover - CONTROL_MNEMONICS is closed
-            def control(state, sim):
-                raise SimulationError(f"unhandled control instruction {name}")
-
-        return control
-
-    def fused_control_at(self, key, lead_key):
-        control = self._fused_controls.get((key, lead_key))
-        if control is None:
-            control = self._build_fused_control(key, lead_key)
-            self._fused_controls[(key, lead_key)] = control
-        return control
-
-    def _build_fused_control(self, key, lead_key):
-        """A lead+branch control closure for a compressed stream.
-
-        ``key`` is the ``bc``/``bcl`` position, ``lead_key`` the
-        pure-ALU/compare position immediately before it in fetch
-        order.  Error semantics are byte-identical to the unfused
-        :meth:`_build_control`: both step increments land before any
-        raise, so a taken branch into an encoded item or a fall off
-        the stream reports the exact reference step count.
+        ``fall`` is ``None`` at the end of the stream, where
+        ``fell_off`` raises; an ``sc`` that halts stays at ``key``.
         """
-        item_index, micro = key
-        item_address = self.addresses[item_index]
-        ins = self.instructions[item_index][micro]
-        name = ins.mnemonic
-        li, lm = lead_key
-        lead = self.instructions[li][lm]
-        fall_key = self._next_key(item_index, micro)
-        last_unit = item_address
-        bo, bi = ins.operand("BO"), ins.operand("BI")
-        unit = item_address + ins.operand("target")
-        target_key = self._key_for_unit(unit)
-        link = (
-            self.text_base + item_address + self.sizes[item_index]
-            if name == "bcl"
-            else None
+        item_index = key[0]
+        unit = self.addresses[item_index]
+        return (
+            self._next_key(*key),
+            _fell_off_control(unit),
+            self.text_base + unit + self.sizes[item_index],
+            key,
         )
 
-        feed_crf = fusion.compare_feed(lead)
-        decrement = not (bo & 0b00100)
-        if feed_crf is not None and not decrement and (bi >> 2) == feed_crf[1]:
-            feed = feed_crf[0]
-            always = bool(bo & 0b10000)
-            want = (bo >> 3) & 1
-            sel = 3 - (bi & 3)
+    def jump(self, key, offset):
+        """``(target, bad_target)`` of a static branch at ``key``.
 
-            def control(state, sim):
-                bits = feed(state)
-                state.steps += 1
-                if link is not None:
-                    state.lr = link
-                if always or ((bits >> sel) & 1) == want:
-                    if target_key is None:
-                        raise DecompressionError(
-                            f"branch to unit {unit} lands inside an "
-                            f"encoded item",
-                            unit_address=unit,
-                            orig_pc=sim.origin_pc(),
-                            step=state.steps,
-                        )
-                    return target_key
-                if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
-                return fall_key
+        A unit inside an encoded item has no position: ``target`` is
+        ``None`` and ``bad_target`` raises the reference error.
+        """
+        unit = self.addresses[key[0]] + offset
+        index = self.item_at_address.get(unit)
+        if index is None:
+            return None, lambda state, sim: sim._goto_unit(unit)
+        return (index, 0), None
 
-        else:
-            lead_thunk = bound_thunk(lead)
-
-            def control(state, sim):
-                lead_thunk(state, sim.memory)
-                state.steps += 1
-                if link is not None:
-                    state.lr = link
-                if branch_decision(state, bo, bi):
-                    if target_key is None:
-                        raise DecompressionError(
-                            f"branch to unit {unit} lands inside an "
-                            f"encoded item",
-                            unit_address=unit,
-                            orig_pc=sim.origin_pc(),
-                            step=state.steps,
-                        )
-                    return target_key
-                if fall_key is None:
-                    raise SimulationError(
-                        "fell off the end of the compressed stream",
-                        unit_address=last_unit,
-                        step=state.steps,
-                    )
-                return fall_key
-
+    def control_at(self, key, lead_key=None):
+        """The control at ``key``, fused with the lead at ``lead_key``."""
+        control = self._controls.get((key, lead_key))
+        if control is None:
+            instructions = self.instructions
+            lead = None if lead_key is None else instructions[lead_key[0]][lead_key[1]]
+            control = build_control(
+                self, key, instructions[key[0]][key[1]], lead
+            )
+            self._controls[(key, lead_key)] = control
         return control
 
     # -- trace construction -------------------------------------------
@@ -1240,8 +541,8 @@ class StreamTranslationCache:
             thunk = thunks[item_index][micro]
             count += 1
             if thunk is None:  # control instruction
-                control = self.control_at((item_index, micro))
                 control_key = (item_index, micro)
+                control = self.control_at(control_key)
                 break
             positions.append((item_index, micro))
             if micro + 1 < len(thunks[item_index]):
@@ -1255,29 +556,29 @@ class StreamTranslationCache:
                 # reference ``_advance`` behaviour.
                 control = _fell_off_control(self.addresses[item_index])
                 break
+        instructions = self.instructions
         fused_lead_key = None
         if control_key is not None and positions:
-            control_pairs = fusion.active_control_pairs()
-            if control_pairs:
-                li, lm = positions[-1]
-                lead = self.instructions[li][lm]
-                tail = self.instructions[control_key[0]][control_key[1]]
-                if (lead.mnemonic, tail.mnemonic) in control_pairs:
-                    fused_lead_key = positions[-1]
+            li, lm = positions[-1]
+            ci, cm = control_key
+            if (
+                instructions[li][lm].mnemonic, instructions[ci][cm].mnemonic
+            ) in fusion.active_control_pairs():
+                fused_lead_key = positions[-1]
         # Control fusion claims the lead before data-pair fusion sees
         # it, so the body (and its pairing) stops one position early;
         # fetch/step accounting always covers the full span.
         body_positions = (
             positions[:-1] if fused_lead_key is not None else positions
         )
-        steps_cost = len(positions) + (1 if control_key is not None else 0)
-        plain_control = control
-        if fused_lead_key is not None:
-            control = self.fused_control_at(control_key, fused_lead_key)
-        trace = Trace(
-            start, self._paired_body(body_positions), control, cont, steps_cost
+        body = _fused_body(
+            [instructions[ii][mm] for ii, mm in body_positions],
+            [thunks[ii][mm] for ii, mm in body_positions],
         )
-        trace.plain_control = plain_control
+        steps_cost = len(positions) + (1 if control_key is not None else 0)
+        trace = Trace(start, body, control, cont, steps_cost)
+        if fused_lead_key is not None:
+            trace.control = self.control_at(control_key, fused_lead_key)
         trace.control_key = control_key
         trace.fused_lead_key = fused_lead_key
         trace.units = units
@@ -1287,37 +588,6 @@ class StreamTranslationCache:
         trace.body_insns = len(positions)
         self.traces[start] = trace
         return trace
-
-    def _paired_body(self, positions):
-        """Body thunks for the collected span, fusing active hot pairs.
-
-        Pairing may cross item boundaries — fusion only changes how a
-        body executes, never its fetch accounting, which is carried on
-        the trace itself.
-        """
-        thunks = self.item_thunks
-        pairs = fusion.active_pairs()
-        if not pairs:
-            return tuple(thunks[ii][mm] for ii, mm in positions)
-        instructions = self.instructions
-        body = []
-        i = 0
-        n = len(positions)
-        while i < n:
-            ii, mm = positions[i]
-            if i + 1 < n:
-                jj, mj = positions[i + 1]
-                a = instructions[ii][mm]
-                b = instructions[jj][mj]
-                if (a.mnemonic, b.mnemonic) in pairs:
-                    fused = fusion.fused_thunk(a, b)
-                    if fused is not None:
-                        body.append(fused)
-                        i += 2
-                        continue
-            body.append(thunks[ii][mm])
-            i += 1
-        return tuple(body)
 
     def stats(self):
         return {
@@ -1350,7 +620,7 @@ def stream_cache(
     fusion_key = fusion.config_key()
     if cache.fusion_key != fusion_key:
         cache.traces.clear()
-        cache._fused_controls.clear()
+        cache._controls.clear()
         cache.fusion_key = fusion_key
     return cache
 
@@ -1366,9 +636,13 @@ def stream_cache_for(sim) -> StreamTranslationCache:
 
 
 def clear_translation_caches() -> None:
-    """Drop all shared predecode state (tests, memory pressure)."""
+    """Drop all shared predecode state (tests, memory pressure).
+
+    That is the stream caches and every generated thunk, fused pair
+    and compiled factory; per-program caches live on their programs.
+    """
     _STREAM_CACHES.clear()
-    bound_thunk.cache_clear()
+    fusion.clear_thunks()
 
 
 def translation_cache_stats() -> dict:

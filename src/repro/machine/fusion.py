@@ -1,33 +1,41 @@
-"""Superinstruction fusion: fused two-instruction thunks for traces.
+"""Statement templates: the fast path's one statement of PowerPC semantics.
 
 The fast path (:mod:`repro.machine.fastpath`) executes straight-line
-traces as ``for thunk in trace.body: thunk(state, memory)`` — one
-Python call plus one loop iteration per instruction.  Interpreter
-literature's *superinstruction* idiom collapses the hottest adjacent
-instruction pairs into single handlers; here that means compiling one
-fused ``(state, mem)`` closure for an :class:`Instruction` pair, which
-halves both the loop iterations and the call dispatches on fused
-pairs.
+traces as ``for thunk in trace.body: thunk(state, memory)``.  Every
+thunk it runs is generated from the template table in this module,
+which states each non-control instruction once, as Python statements
+with ``{name}`` holes.  Three things are built from it:
 
-Fusion is **code generation**, not closure composition: each supported
-mnemonic has a statement template that inlines the already-extracted
-operands (register numbers, immediates, precomputed masks) as
-literals, and :func:`fused_thunk` compiles the concatenated statements
-with ``exec`` once per distinct instruction pair (memoized
-process-wide).  Composing the two existing closures instead would save
-the loop iteration but add a call — a net loss.
+* :func:`bound_thunk` — the thunk for one instruction;
+* :func:`fused_thunk` — a *superinstruction*: one thunk for an adjacent
+  instruction pair, which halves the loop iterations and calls of a
+  fused pair;
+* :func:`compare_feed` — the compare lead of a fused compare+branch
+  control.  A compare's thunk returns the LT/GT/EQ bits it wrote, so
+  the control tests its branch condition on that value instead of
+  re-reading ``state.cr``.
 
-Semantics are exact by construction:
+Generation is **code generation**, not closure composition: the
+statements of one *template shape* (the source text a template
+produced, so a mnemonic plus its ``rA == 0``-style variant, or a pair
+of those) are compiled once into a factory, and each instruction calls
+the factory with its extracted operands (register numbers, immediates,
+precomputed masks), which the generated thunk reads as closure cells.
+A cold job therefore compiles once per shape, not once per instruction.
+Thunks and fused pairs are memoized process-wide on ``(mnemonic,
+values)``, so the dictionary entry ``addi r3, r3, 1`` shared by every
+program in a batch is bound once.
 
-* each template mirrors its binder in :mod:`repro.machine.fastpath`
-  statement for statement (same masking, same CR update shape, same
-  memory access order);
-* ``state.steps`` accounting is per-instruction whenever either half
-  can raise (loads/stores), so an out-of-range access observes the
-  identical step count as the reference interpreter; only pure-ALU
+Semantics are exact by construction.  The executor's ``_HANDLERS`` stay
+the independent oracle, and the tests check every template against
+them:
+
+* ``state.steps`` accounting is per-instruction whenever either half of
+  a pair can raise (loads/stores), so an out-of-range access observes
+  the identical step count as the reference interpreter; only pure-ALU
   pairs coalesce into one ``state.steps += 2``;
-* control instructions, ``divw``/``divwu`` and ``mfspr``/``mtspr``
-  (error corners) are never fused.
+* control instructions, ``divw``/``divwu`` and ``mfspr``/``mtspr`` are
+  never fused.
 
 Which pairs fuse is a *plan*: :data:`DEFAULT_PAIRS` carries the
 hottest adjacent data-instruction pairs mined from
@@ -40,29 +48,28 @@ when it changes.
 
 **Control fusion** is the second, independent axis: ~46% of adjacent
 executed pairs suite-wide are a compare followed by a conditional
-branch, and PR 8's data-pair fusion deliberately stopped short of
-control flow.  A *control pair* fuses the trailing lead instruction
-into the trace-terminating control closure itself
-(:func:`repro.machine.fastpath._program_control_fused` and the stream
-equivalent): the lead executes inside the fused control, the trace
-body shrinks by one thunk, and — when the lead is a compare feeding
-the branch's own CR field — the branch decision tests the just
-computed 4-bit field value locally (:func:`compare_feed`) instead of
-re-reading ``state.cr``.  Leads are restricted to
-:data:`CONTROL_LEAD_MNEMONICS` (pure ALU/compare templates that cannot
-raise), so a fused compare+branch can only fault in its branch half
-and error step counts stay trivially exact.  The control plan is
-configured/mined separately (:data:`DEFAULT_CONTROL_PAIRS`,
-:func:`control_plan_from_profile`) and contributes its own component
-to :func:`config_key`.
+branch.  A *control pair* fuses the trailing lead instruction into the
+trace-terminating control closure built by
+:func:`repro.machine.fastpath.build_control`: the lead executes inside
+the control, and the trace body shrinks by one thunk.  Leads are
+restricted to :data:`CONTROL_LEAD_MNEMONICS` (pure ALU/compare
+templates that cannot raise), so a fused compare+branch can only fault
+in its branch half and error step counts stay trivially exact.  The
+control plan is configured/mined separately
+(:data:`DEFAULT_CONTROL_PAIRS`, :func:`control_plan_from_profile`) and
+contributes its own component to :func:`config_key`.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from functools import lru_cache
 
 from repro import bitutils
+from repro.errors import SimulationError
+from repro.isa import registers
+from repro.isa.opcodes import spec_for
 from repro.machine.executor import CONTROL_MNEMONICS
 
 _U = bitutils.WORD_MASK
@@ -123,9 +130,12 @@ def configure(
 
     ``pairs``/``control_pairs`` are iterables of ``(mnemonic,
     mnemonic)`` tuples (the data and control plans); ``None`` leaves
-    the current plan in place.  ``enabled`` is the master switch —
-    disabling it turns control fusion off too; ``control_enabled``
-    gates only the control-pair axis.
+    the current plan in place.  A control pair that cannot fuse — a
+    lead outside :data:`CONTROL_LEAD_MNEMONICS` or a tail outside
+    :data:`CONTROL_TAIL_MNEMONICS` — is dropped.  ``enabled`` is the
+    master switch — disabling it turns
+    control fusion off too; ``control_enabled`` gates only the
+    control-pair axis.
     """
     global _enabled, _pairs, _control_enabled, _control_pairs
     previous = {
@@ -141,7 +151,11 @@ def configure(
     if control_enabled is not None:
         _control_enabled = bool(control_enabled)
     if control_pairs is not None:
-        _control_pairs = frozenset(tuple(pair) for pair in control_pairs)
+        _control_pairs = frozenset(
+            (lead, tail)
+            for lead, tail in control_pairs
+            if lead in CONTROL_LEAD_MNEMONICS and tail in CONTROL_TAIL_MNEMONICS
+        )
     return previous
 
 
@@ -180,8 +194,7 @@ def config_key() -> tuple:
 
 
 def fusion_stats() -> dict:
-    info = fused_thunk.cache_info()
-    feeds = compare_feed.cache_info()
+    info = _fused.cache_info()
     return {
         "enabled": _enabled,
         "pairs": sorted(_pairs),
@@ -190,7 +203,7 @@ def fusion_stats() -> dict:
         "compiled": info.currsize,
         "thunk_hits": info.hits,
         "thunk_misses": info.misses,
-        "compare_feeds": feeds.currsize,
+        "factories": len(_factories),
     }
 
 
@@ -210,7 +223,7 @@ def mine_adjacent_pairs(program, counts) -> Counter:
     for i in range(len(text) - 1):
         a = text[i].instruction.mnemonic
         b = text[i + 1].instruction.mnemonic
-        if a not in _TEMPLATES or b not in _TEMPLATES:
+        if a not in FUSABLE_MNEMONICS or b not in FUSABLE_MNEMONICS:
             continue
         weight = min(counts[i], counts[i + 1])
         if weight:
@@ -253,401 +266,302 @@ def control_plan_from_profile(program, counts, top_k: int = DEFAULT_TOP_K):
 
 
 # ---------------------------------------------------------------------------
-# Statement templates.  ``_template(ins, prefix)`` renders one
-# instruction to (statements, can_raise); every template mirrors the
-# corresponding binder in fastpath.py exactly.  ``prefix`` namespaces
-# the temporaries so two templates concatenate safely.
+# The template table.  A template maps an instruction's operand values
+# (in spec order) to ``(source, params)``: statements over ``state``,
+# ``mem`` and ``gpr`` (``state.gpr``) with ``{name}`` holes, and the
+# bind-time values of the holes that are parameters.  The other holes
+# are temporaries.  A plain string template's parameters are the
+# spec's operand names.  A compare leaves its LT/GT/EQ value in
+# ``{bits}``.
 # ---------------------------------------------------------------------------
-def _t_addi(ins, p):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-    if ra:
-        return [f"gpr[{rt}] = (_s32(gpr[{ra}]) + {si}) & {_U}"], False
-    return [f"gpr[{rt}] = {si & _U}"], False
+_SET = "gpr[{rT}] = {value}"
+_ADD_IMM = "gpr[{rT}] = (_s32(gpr[{rA}]) + {imm}) & 0xFFFFFFFF"
+_AND_DOT = (
+    "{r} = gpr[{rS}] & {imm}\n"
+    "gpr[{rA}] = {r}\n"
+    "{s} = _s32({r})\n"
+    "state.cr = (state.cr & 0x0FFFFFFF)"
+    " | ((8 if {s} < 0 else 4 if {s} > 0 else 2) << 28)"
+)
+_RLWINM = "gpr[{rA}] = _rotl32(gpr[{rS}], {SH}) & {mask}"
+_UNSUPPORTED = "raise _SimulationError({message})"
 
 
-def _t_addis(ins, p):
-    rt, ra = ins.operand("rT"), ins.operand("rA")
-    shifted = ins.operand("SI") << 16
-    if ra:
-        return [f"gpr[{rt}] = (_s32(gpr[{ra}]) + {shifted}) & {_U}"], False
-    return [f"gpr[{rt}] = {shifted & _U}"], False
+def _add_imm(shift):
+    """``addi``/``addis``: ``rA = 0`` reads as zero, so the sum is constant."""
 
-
-def _t_mulli(ins, p):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-    return [f"gpr[{rt}] = (_s32(gpr[{ra}]) * {si}) & {_U}"], False
-
-
-def _t_subfic(ins, p):
-    rt, ra, si = ins.operand("rT"), ins.operand("rA"), ins.operand("SI")
-    return [f"gpr[{rt}] = ({si} - _s32(gpr[{ra}])) & {_U}"], False
-
-
-def _t_logic_imm(op, shift):
-    def template(ins, p):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-        imm = ins.operand("UI") << shift
-        return [f"gpr[{ra}] = gpr[{rs}] {op} {imm}"], False
+    def template(rt, ra, si):
+        imm = si << shift
+        if ra:
+            return _ADD_IMM, {"rT": rt, "rA": ra, "imm": imm}
+        return _SET, {"rT": rt, "value": imm & _U}
 
     return template
 
 
-def _t_andi_dot(shift):
-    def template(ins, p):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-        imm = ins.operand("UI") << shift
-        keep = _U ^ (0xF << 28)
-        return [
-            f"{p}r = gpr[{rs}] & {imm}",
-            f"gpr[{ra}] = {p}r",
-            f"{p}s = _s32({p}r)",
-            f"state.cr = (state.cr & {keep}) | "
-            f"((8 if {p}s < 0 else 4 if {p}s > 0 else 2) << 28)",
-        ], False
+def _shifted_imm(source, shift):
+    """An ``(rA, rS, UI)`` form whose immediate is shifted at bind time."""
+
+    def template(ra, rs, ui):
+        return source, {"rA": ra, "rS": rs, "imm": ui << shift}
 
     return template
 
 
-def _t_cmp(signed, immediate):
-    imm_name = "SI" if signed else "UI"
-    cast = "_s32(gpr[{r}])" if signed else "gpr[{r}]"
+def _compare(a, b):
+    """A compare of ``a`` against ``b`` into CR field ``crfD``."""
+    source = (
+        f"{{a}} = {a}\n"
+        f"{{b}} = {b}\n"
+        "{bits} = 8 if {a} < {b} else 4 if {a} > {b} else 2\n"
+        "state.cr = (state.cr & {keep}) | ({bits} << {shift})"
+    )
 
-    def template(ins, p):
-        crf, ra = ins.operand("crfD"), ins.operand("rA")
+    def template(crf, ra, rhs):
         shift = 28 - 4 * crf
-        keep = _U ^ (0xF << shift)
-        lines = [f"{p}a = " + cast.format(r=ra)]
-        if immediate:
-            rhs = str(ins.operand(imm_name))
-        else:
-            rhs = f"{p}b"
-            lines.append(f"{p}b = " + cast.format(r=ins.operand("rB")))
-        lines.append(
-            f"state.cr = (state.cr & {keep}) | "
-            f"((8 if {p}a < {rhs} else 4 if {p}a > {rhs} else 2) << {shift})"
-        )
-        return lines, False
+        return source, {
+            "rA": ra, "rhs": rhs, "keep": _U ^ (0xF << shift), "shift": shift,
+        }
 
     return template
 
 
-def _t_add(ins, p):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-    return [f"gpr[{rt}] = (gpr[{ra}] + gpr[{rb}]) & {_U}"], False
-
-
-def _t_subf(ins, p):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-    return [f"gpr[{rt}] = (gpr[{rb}] - gpr[{ra}]) & {_U}"], False
-
-
-def _t_neg(ins, p):
-    rt, ra = ins.operand("rT"), ins.operand("rA")
-    return [f"gpr[{rt}] = -_s32(gpr[{ra}]) & {_U}"], False
-
-
-def _t_mullw(ins, p):
-    rt, ra, rb = ins.operand("rT"), ins.operand("rA"), ins.operand("rB")
-    return [f"gpr[{rt}] = (_s32(gpr[{ra}]) * _s32(gpr[{rb}])) & {_U}"], False
-
-
-def _t_logic_reg(expr):
-    def template(ins, p):
-        ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-        return [f"gpr[{ra}] = " + expr.format(s=rs, b=rb)], False
-
-    return template
-
-
-def _t_slw(ins, p):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-    return [
-        f"{p}n = gpr[{rb}] & 63",
-        f"gpr[{ra}] = 0 if {p}n > 31 else (gpr[{rs}] << {p}n) & {_U}",
-    ], False
-
-
-def _t_srw(ins, p):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-    return [
-        f"{p}n = gpr[{rb}] & 63",
-        f"gpr[{ra}] = 0 if {p}n > 31 else gpr[{rs}] >> {p}n",
-    ], False
-
-
-def _t_sraw(ins, p):
-    ra, rs, rb = ins.operand("rA"), ins.operand("rS"), ins.operand("rB")
-    return [
-        f"{p}n = gpr[{rb}] & 63",
-        f"gpr[{ra}] = (_s32(gpr[{rs}]) >> (31 if {p}n > 31 else {p}n)) & {_U}",
-    ], False
-
-
-def _t_srawi(ins, p):
-    ra, rs, sh = ins.operand("rA"), ins.operand("rS"), ins.operand("SH")
-    return [f"gpr[{ra}] = (_s32(gpr[{rs}]) >> {sh}) & {_U}"], False
-
-
-def _t_rlwinm(ins, p):
-    ra, rs, sh = ins.operand("rA"), ins.operand("rS"), ins.operand("SH")
-    mb, me = ins.operand("MB"), ins.operand("ME")
+def _rlwinm(ra, rs, sh, mb, me):
     if mb <= me:
         mask = (bitutils.mask(me - mb + 1)) << (31 - me)
     else:  # wrapped mask
         mask = _U ^ ((bitutils.mask(mb - me - 1)) << (31 - mb + 1))
-    return [f"gpr[{ra}] = _rotl32(gpr[{rs}], {sh}) & {mask}"], False
+    return _RLWINM, {"rA": ra, "rS": rs, "SH": sh, "mask": mask}
 
 
-def _t_exts(width):
-    low_mask = (1 << width) - 1
+def _memory(access, update=False):
+    """A D-form load or store of register ``{r}`` at address ``{ea}``."""
+    tail = "\ngpr[{base}] = {ea}" if update else ""
+    indexed = "{ea} = (gpr[{base}] + {disp}) & 0xFFFFFFFF\n" + access + tail
+    absolute = "{ea} = {disp}\n" + access + tail
 
-    def template(ins, p):
-        ra, rs = ins.operand("rA"), ins.operand("rS")
-        return [
-            f"gpr[{ra}] = _sign_extend(gpr[{rs}] & {low_mask}, {width}) & {_U}"
-        ], False
-
-    return template
-
-
-def _t_load(size, update=False, signed=False):
-    width = 8 * size
-
-    def template(ins, p):
-        disp, base = ins.operand("D(rA)")
-        rt = ins.operand("rT")
+    def template(r, displacement):
+        disp, base = displacement
         if base:
-            lines = [f"{p}d = (gpr[{base}] + {disp}) & {_U}"]
-        else:
-            lines = [f"{p}d = {disp & _U}"]
-        lines.append(f"{p}v = mem.load({p}d, {size})")
-        if signed:
-            lines.append(f"{p}v = _sign_extend({p}v, {width}) & {_U}")
-        lines.append(f"gpr[{rt}] = {p}v")
-        if update:
-            lines.append(f"gpr[{base}] = {p}d")
-        return lines, True
+            return indexed, {"r": r, "base": base, "disp": disp}
+        # rA = 0 reads as zero: the address is a bind-time constant.
+        return absolute, {"r": r, "base": base, "disp": disp & _U}
 
     return template
 
 
-def _t_store(size, update=False):
-    def template(ins, p):
-        disp, base = ins.operand("D(rA)")
-        rs = ins.operand("rS")
-        if base:
-            lines = [f"{p}d = (gpr[{base}] + {disp}) & {_U}"]
-        else:
-            lines = [f"{p}d = {disp & _U}"]
-        lines.append(f"mem.store({p}d, {size}, gpr[{rs}])")
-        if update:
-            lines.append(f"gpr[{base}] = {p}d")
-        return lines, True
+def _mfspr(rt, spr):
+    if spr == registers.LR:
+        return "gpr[{rT}] = state.lr & 0xFFFFFFFF", {"rT": rt}
+    if spr == registers.CTR:
+        return "gpr[{rT}] = state.ctr & 0xFFFFFFFF", {"rT": rt}
+    return _UNSUPPORTED, {"message": f"mfspr: unsupported SPR {spr}"}
+
+
+def _mtspr(spr, rs):
+    if spr == registers.LR:
+        return "state.lr = gpr[{rS}]", {"rS": rs}
+    if spr == registers.CTR:
+        return "state.ctr = gpr[{rS}]", {"rS": rs}
+    return _UNSUPPORTED, {"message": f"mtspr: unsupported SPR {spr}"}
+
+
+def _plain(mnemonic, source):
+    names = tuple(op.name for op in spec_for(mnemonic).operands)
+
+    def template(*values):
+        return source, dict(zip(names, values))
 
     return template
 
+
+_LOAD = "gpr[{r}] = mem.load({ea}, %d)"
+_STORE = "mem.store({ea}, %d, gpr[{r}])"
 
 _TEMPLATES = {
-    "addi": _t_addi,
-    "addis": _t_addis,
-    "mulli": _t_mulli,
-    "subfic": _t_subfic,
-    "ori": _t_logic_imm("|", 0),
-    "oris": _t_logic_imm("|", 16),
-    "xori": _t_logic_imm("^", 0),
-    "xoris": _t_logic_imm("^", 16),
-    "andi.": _t_andi_dot(0),
-    "andis.": _t_andi_dot(16),
-    "cmpwi": _t_cmp(signed=True, immediate=True),
-    "cmplwi": _t_cmp(signed=False, immediate=True),
-    "cmpw": _t_cmp(signed=True, immediate=False),
-    "cmplw": _t_cmp(signed=False, immediate=False),
-    "add": _t_add,
-    "subf": _t_subf,
-    "neg": _t_neg,
-    "mullw": _t_mullw,
-    "and": _t_logic_reg("gpr[{s}] & gpr[{b}]"),
-    "or": _t_logic_reg("gpr[{s}] | gpr[{b}]"),
-    "xor": _t_logic_reg("gpr[{s}] ^ gpr[{b}]"),
-    "nor": _t_logic_reg(f"~(gpr[{{s}}] | gpr[{{b}}]) & {_U}"),
-    "slw": _t_slw,
-    "srw": _t_srw,
-    "sraw": _t_sraw,
-    "srawi": _t_srawi,
-    "rlwinm": _t_rlwinm,
-    "extsb": _t_exts(8),
-    "extsh": _t_exts(16),
-    "lwz": _t_load(4),
-    "lwzu": _t_load(4, update=True),
-    "lbz": _t_load(1),
-    "lbzu": _t_load(1, update=True),
-    "lhz": _t_load(2),
-    "lha": _t_load(2, signed=True),
-    "stw": _t_store(4),
-    "stwu": _t_store(4, update=True),
-    "stb": _t_store(1),
-    "stbu": _t_store(1, update=True),
-    "sth": _t_store(2),
+    mnemonic: _plain(mnemonic, template) if isinstance(template, str) else template
+    for mnemonic, template in {
+        "addi": _add_imm(0),
+        "addis": _add_imm(16),
+        "mulli": "gpr[{rT}] = (_s32(gpr[{rA}]) * {SI}) & 0xFFFFFFFF",
+        "subfic": "gpr[{rT}] = ({SI} - _s32(gpr[{rA}])) & 0xFFFFFFFF",
+        "ori": _shifted_imm("gpr[{rA}] = gpr[{rS}] | {imm}", 0),
+        "oris": _shifted_imm("gpr[{rA}] = gpr[{rS}] | {imm}", 16),
+        "xori": _shifted_imm("gpr[{rA}] = gpr[{rS}] ^ {imm}", 0),
+        "xoris": _shifted_imm("gpr[{rA}] = gpr[{rS}] ^ {imm}", 16),
+        "andi.": _shifted_imm(_AND_DOT, 0),
+        "andis.": _shifted_imm(_AND_DOT, 16),
+        "cmpwi": _compare("_s32(gpr[{rA}])", "{rhs}"),
+        "cmplwi": _compare("gpr[{rA}]", "{rhs}"),
+        "cmpw": _compare("_s32(gpr[{rA}])", "_s32(gpr[{rhs}])"),
+        "cmplw": _compare("gpr[{rA}]", "gpr[{rhs}]"),
+        "add": "gpr[{rT}] = (gpr[{rA}] + gpr[{rB}]) & 0xFFFFFFFF",
+        "subf": "gpr[{rT}] = (gpr[{rB}] - gpr[{rA}]) & 0xFFFFFFFF",
+        "neg": "gpr[{rT}] = -_s32(gpr[{rA}]) & 0xFFFFFFFF",
+        "mullw": "gpr[{rT}] = (_s32(gpr[{rA}]) * _s32(gpr[{rB}])) & 0xFFFFFFFF",
+        "divw": (
+            "{b} = _s32(gpr[{rB}])\n"
+            "gpr[{rT}] = _cdiv(_s32(gpr[{rA}]), {b}) & 0xFFFFFFFF if {b} else 0"
+        ),
+        "divwu": "{b} = gpr[{rB}]\ngpr[{rT}] = gpr[{rA}] // {b} if {b} else 0",
+        "and": "gpr[{rA}] = gpr[{rS}] & gpr[{rB}]",
+        "or": "gpr[{rA}] = gpr[{rS}] | gpr[{rB}]",
+        "xor": "gpr[{rA}] = gpr[{rS}] ^ gpr[{rB}]",
+        "nor": "gpr[{rA}] = ~(gpr[{rS}] | gpr[{rB}]) & 0xFFFFFFFF",
+        "slw": (
+            "{n} = gpr[{rB}] & 63\n"
+            "gpr[{rA}] = 0 if {n} > 31 else (gpr[{rS}] << {n}) & 0xFFFFFFFF"
+        ),
+        "srw": "{n} = gpr[{rB}] & 63\ngpr[{rA}] = 0 if {n} > 31 else gpr[{rS}] >> {n}",
+        "sraw": (
+            "{n} = gpr[{rB}] & 63\n"
+            "gpr[{rA}] = (_s32(gpr[{rS}]) >> (31 if {n} > 31 else {n})) & 0xFFFFFFFF"
+        ),
+        "srawi": "gpr[{rA}] = (_s32(gpr[{rS}]) >> {SH}) & 0xFFFFFFFF",
+        "rlwinm": _rlwinm,
+        "extsb": "gpr[{rA}] = _sign_extend(gpr[{rS}] & 0xFF, 8) & 0xFFFFFFFF",
+        "extsh": "gpr[{rA}] = _sign_extend(gpr[{rS}] & 0xFFFF, 16) & 0xFFFFFFFF",
+        "lwz": _memory(_LOAD % 4),
+        "lwzu": _memory(_LOAD % 4, update=True),
+        "lbz": _memory(_LOAD % 1),
+        "lbzu": _memory(_LOAD % 1, update=True),
+        "lhz": _memory(_LOAD % 2),
+        "lha": _memory(
+            "gpr[{r}] = _sign_extend(mem.load({ea}, 2), 16) & 0xFFFFFFFF"
+        ),
+        "stw": _memory(_STORE % 4),
+        "stwu": _memory(_STORE % 4, update=True),
+        "stb": _memory(_STORE % 1),
+        "stbu": _memory(_STORE % 1, update=True),
+        "sth": _memory(_STORE % 2),
+        "mfspr": _mfspr,
+        "mtspr": _mtspr,
+    }.items()
 }
 
-FUSABLE_MNEMONICS = frozenset(_TEMPLATES)
+# Loads and stores can raise mid-pair, so a pair holding one counts
+# its steps per instruction.
+_MEMORY_MNEMONICS = frozenset({
+    "lwz", "lwzu", "lbz", "lbzu", "lhz", "lha",
+    "stw", "stwu", "stb", "stbu", "sth",
+})
 
-_ENV = {
-    "_s32": bitutils.s32,
-    "_sign_extend": bitutils.sign_extend,
-    "_rotl32": bitutils.rotl32,
-}
-
-assert not FUSABLE_MNEMONICS & CONTROL_MNEMONICS
+# SPR moves can fault outside memory, and the pair plans were mined
+# without the divisions; both keep to single thunks.
+FUSABLE_MNEMONICS = frozenset(_TEMPLATES) - {"divw", "divwu", "mfspr", "mtspr"}
 
 # Leads eligible for control fusion: pure ALU/compare templates only.
 # Excluding memory instructions keeps the fused control's lead half
 # fault-free, so a trace-granularity error can only originate in the
 # branch half — which the fused control raises with the exact same
 # step count and error fields as the reference interpreter.
-_MEMORY_MNEMONICS = frozenset({
-    "lwz", "lwzu", "lbz", "lbzu", "lhz", "lha",
-    "stw", "stwu", "stb", "stbu", "sth",
-})
 CONTROL_LEAD_MNEMONICS = FUSABLE_MNEMONICS - _MEMORY_MNEMONICS
 
+assert not frozenset(_TEMPLATES) & CONTROL_MNEMONICS
 assert COMPARE_MNEMONICS <= CONTROL_LEAD_MNEMONICS
-assert not CONTROL_LEAD_MNEMONICS & CONTROL_MNEMONICS
 assert CONTROL_TAIL_MNEMONICS <= CONTROL_MNEMONICS
 
 
-def _compare_feed(signed: bool, immediate: bool):
-    """Build the compare-feed compiler for one compare flavour."""
+# ---------------------------------------------------------------------------
+# Code generation
+# ---------------------------------------------------------------------------
+_HOLE = re.compile(r"\{(\w+)\}")
 
-    def build(ins):
-        crf = ins.operand("crfD")
-        ra = ins.operand("rA")
-        shift = 28 - 4 * crf
-        clear = ~(0xF << shift)
-        if immediate:
-            if signed:
-                rhs = ins.operand("SI")
-
-                def feed(state):
-                    a = bitutils.s32(state.gpr[ra])
-                    bits = 8 if a < rhs else 4 if a > rhs else 2
-                    state.cr = (state.cr & clear) | (bits << shift)
-                    state.steps += 1
-                    return bits
-
-            else:
-                rhs = ins.operand("UI")
-
-                def feed(state):
-                    a = state.gpr[ra]
-                    bits = 8 if a < rhs else 4 if a > rhs else 2
-                    state.cr = (state.cr & clear) | (bits << shift)
-                    state.steps += 1
-                    return bits
-
-        else:
-            rb = ins.operand("rB")
-            if signed:
-
-                def feed(state):
-                    gpr = state.gpr
-                    a = bitutils.s32(gpr[ra])
-                    b = bitutils.s32(gpr[rb])
-                    bits = 8 if a < b else 4 if a > b else 2
-                    state.cr = (state.cr & clear) | (bits << shift)
-                    state.steps += 1
-                    return bits
-
-            else:
-
-                def feed(state):
-                    gpr = state.gpr
-                    a = gpr[ra]
-                    b = gpr[rb]
-                    bits = 8 if a < b else 4 if a > b else 2
-                    state.cr = (state.cr & clear) | (bits << shift)
-                    state.steps += 1
-                    return bits
-
-        return feed, crf
-
-    return build
-
-
-_COMPARE_FEEDS = {
-    "cmpwi": _compare_feed(signed=True, immediate=True),
-    "cmplwi": _compare_feed(signed=False, immediate=True),
-    "cmpw": _compare_feed(signed=True, immediate=False),
-    "cmplw": _compare_feed(signed=False, immediate=False),
+_ENV = {
+    "_s32": bitutils.s32,
+    "_sign_extend": bitutils.sign_extend,
+    "_rotl32": bitutils.rotl32,
+    "_cdiv": bitutils.cdiv,
+    "_SimulationError": SimulationError,
 }
 
-assert frozenset(_COMPARE_FEEDS) == COMPARE_MNEMONICS
+# Compiled factories, keyed by template shape: the ``(source, names)``
+# of each instruction.
+_factories: dict = {}
 
 
-@lru_cache(maxsize=4096)
-def compare_feed(ins):
-    """A ``(feed, crf)`` pair for a compare lead, else ``None``.
+def _compile(shape, raises):
+    """Compile the factory for one shape of one or two instructions."""
+    args, body = [], ["gpr = state.gpr"]
+    for prefix, (source, names) in zip("ab", shape):
+        args += [f"{prefix}_{name}" for name in names]
+        body += _HOLE.sub(prefix + r"_\1", source).splitlines()
+        if raises:
+            body.append("state.steps += 1")
+    if not raises:
+        body.append(f"state.steps += {len(shape)}")
+    if "{bits}" in shape[-1][0]:
+        body.append(f"return {prefix}_bits")
+    text = (
+        f"def factory({', '.join(args)}):\n"
+        "    def thunk(state, mem):\n"
+        + "".join(f"        {line}\n" for line in body)
+        + "    return thunk\n"
+    )
+    namespace = dict(_ENV)
+    exec(compile(text, "<fast-path template>", "exec"), namespace)
+    return namespace["factory"]
 
-    ``feed(state)`` executes the compare — CR field write plus one
-    step — and returns the 3-bit LT/GT/EQ mask it just wrote, so a
-    fused control can test the branch condition on the local value
-    without re-reading ``state.cr``.  Non-compare leads return
-    ``None``; they fuse via the generic bound-thunk path instead.
+
+def _instantiate(*instructions):
+    """A thunk executing ``(mnemonic, values)`` instructions in order."""
+    shape, args = [], []
+    for mnemonic, values in instructions:
+        source, params = _TEMPLATES[mnemonic](*values)
+        shape.append((source, tuple(params)))
+        args += params.values()
+    shape = tuple(shape)
+    factory = _factories.get(shape)
+    if factory is None:
+        raises = any(m in _MEMORY_MNEMONICS for m, _ in instructions)
+        factory = _factories[shape] = _compile(shape, raises)
+    return factory(*args)
+
+
+@lru_cache(maxsize=65536)
+def bound_thunk(mnemonic, values):
+    """The ``thunk(state, mem)`` of one non-control instruction.
+
+    Applies the instruction and counts its step, exactly as
+    ``execute_data`` does; a compare's thunk also returns the LT/GT/EQ
+    bits it wrote.  Memoized process-wide on ``(mnemonic, values)``.
     """
-    builder = _COMPARE_FEEDS.get(ins.mnemonic)
-    if builder is None:
-        return None
-    return builder(ins)
+    return _instantiate((mnemonic, values))
+
+
+def fused_thunk(ins_a, ins_b):
+    """One fused ``(state, mem)`` thunk for an instruction pair.
+
+    Returns ``None`` when either half is not fusable.  Memoized
+    process-wide on both halves' ``(mnemonic, values)``, so a hot pair
+    shared across traces and programs is bound once.
+    """
+    return _fused(ins_a.mnemonic, ins_a.values, ins_b.mnemonic, ins_b.values)
 
 
 @lru_cache(maxsize=16384)
-def fused_thunk(ins_a, ins_b):
-    """Compile one fused ``(state, mem)`` thunk for an instruction pair.
+def _fused(mnemonic_a, values_a, mnemonic_b, values_b):
+    if mnemonic_a not in FUSABLE_MNEMONICS or mnemonic_b not in FUSABLE_MNEMONICS:
+        return None
+    return _instantiate((mnemonic_a, values_a), (mnemonic_b, values_b))
 
-    Returns ``None`` when either half has no template.  Memoized
-    process-wide (instructions are frozen/hashable), so a hot pair
-    shared across traces and programs compiles once.
+
+def compare_feed(ins):
+    """A ``(thunk, crf)`` pair for a compare lead, else ``None``.
+
+    ``thunk(state, mem)`` executes the compare — CR field ``crf`` write
+    plus one step — and returns the 3-bit LT/GT/EQ mask it wrote, so a
+    fused control can test the branch condition on the local value.
+    Non-compare leads return ``None``; the control runs their
+    :func:`bound_thunk` and reads ``state.cr`` instead.
     """
-    template_a = _TEMPLATES.get(ins_a.mnemonic)
-    template_b = _TEMPLATES.get(ins_b.mnemonic)
-    if template_a is None or template_b is None:
+    if ins.mnemonic not in COMPARE_MNEMONICS:
         return None
-    stmts_a, raises_a = template_a(ins_a, "_a")
-    stmts_b, raises_b = template_b(ins_b, "_b")
-    lines = ["def _fused(state, mem):", "    gpr = state.gpr"]
-    if raises_a or raises_b:
-        # A memory access can raise mid-pair: the step counter must
-        # advance per instruction so the error observes the exact
-        # reference step count.
-        lines += [f"    {s}" for s in stmts_a]
-        lines.append("    state.steps += 1")
-        lines += [f"    {s}" for s in stmts_b]
-        lines.append("    state.steps += 1")
-    else:
-        lines += [f"    {s}" for s in stmts_a]
-        lines += [f"    {s}" for s in stmts_b]
-        lines.append("    state.steps += 2")
-    namespace = dict(_ENV)
-    exec(compile("\n".join(lines), "<fused-thunk>", "exec"), namespace)
-    return namespace["_fused"]
+    return bound_thunk(ins.mnemonic, ins.values), ins.operand("crfD")
 
 
-def fused_source(ins_a, ins_b) -> str | None:
-    """The generated source for a pair (diagnostics and tests)."""
-    template_a = _TEMPLATES.get(ins_a.mnemonic)
-    template_b = _TEMPLATES.get(ins_b.mnemonic)
-    if template_a is None or template_b is None:
-        return None
-    stmts_a, raises_a = template_a(ins_a, "_a")
-    stmts_b, raises_b = template_b(ins_b, "_b")
-    if raises_a or raises_b:
-        body = stmts_a + ["state.steps += 1"] + stmts_b + ["state.steps += 1"]
-    else:
-        body = stmts_a + stmts_b + ["state.steps += 2"]
-    return "\n".join(body)
-
-
-def clear_fused_thunks() -> None:
-    """Drop compiled fused thunks (tests, memory pressure)."""
-    fused_thunk.cache_clear()
-    compare_feed.cache_clear()
+def clear_thunks() -> None:
+    """Drop every generated thunk, fused pair and compiled factory."""
+    bound_thunk.cache_clear()
+    _fused.cache_clear()
+    _factories.clear()

@@ -124,13 +124,14 @@ def cmd_fastpath(args) -> int:
     if args.fusion != "off":
         stats = fusion.fusion_stats()
         print(
-            f"fusion: {stats['compiled']} fused thunk(s) compiled over "
-            f"{len(stats['pairs'])} planned pair(s)"
+            f"fusion: {stats['compiled']} fused thunk(s) bound over "
+            f"{len(stats['pairs'])} planned pair(s); "
+            f"{stats['factories']} template shape(s) compiled"
         )
         if stats["control_enabled"]:
             print(
-                f"control fusion: {stats['compare_feeds']} compare feed(s) "
-                f"compiled over {len(stats['control_pairs'])} control pair(s)"
+                f"control fusion: {len(stats['control_pairs'])} "
+                f"control pair(s) planned"
             )
     if failures:
         print(f"\nrepro-verify: {failures} fast-path divergence(s)")

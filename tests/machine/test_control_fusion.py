@@ -25,7 +25,9 @@ from repro.machine.decompressor import StreamDecoder
 from repro.machine.simulator import Simulator, profile_program
 from repro.verify.fastpath import (
     _same_error,
+    lockstep_compressed,
     lockstep_compressed_traces,
+    lockstep_program,
     lockstep_program_traces,
 )
 
@@ -89,9 +91,11 @@ def _falloff_program(iterations=3):
 def _planted(corrupt):
     """Swap ``fusion.compare_feed`` for a corrupted wrapper.
 
-    ``corrupt(feed)`` returns the sabotaged feed closure.  Only the
-    fused control path consults ``compare_feed``, so every divergence
-    these plants produce is attributable to the fused closure alone.
+    ``corrupt(feed)`` returns the sabotaged compare thunk.  Only the
+    fused control path consults ``compare_feed`` — trace bodies and the
+    instruction-level lane run the compare's own bound thunk — so every
+    divergence these plants produce is attributable to the fused
+    closure alone.
     """
     real = fusion.compare_feed
 
@@ -102,7 +106,6 @@ def _planted(corrupt):
         feed, crf = result
         return corrupt(feed), crf
 
-    evil.cache_clear = real.cache_clear
     fusion.compare_feed = evil
     fastpath.clear_translation_caches()
     try:
@@ -114,16 +117,16 @@ def _planted(corrupt):
 
 def _swap_lt_gt(feed):
     """Correct CR write, wrong returned bits -> wrong branch decision."""
-    def bad(state):
-        bits = feed(state)
+    def bad(state, mem):
+        bits = feed(state, mem)
         return {8: 4, 4: 8}.get(bits, bits)
     return bad
 
 
 def _corrupt_so(feed):
     """Correct branch decision, wrong CR side effect (cr0 SO flipped)."""
-    def bad(state):
-        bits = feed(state)
+    def bad(state, mem):
+        bits = feed(state, mem)
         state.cr ^= 1 << 28
         return bits
     return bad
@@ -131,8 +134,8 @@ def _corrupt_so(feed):
 
 def _missing_final_step(feed):
     """Drop the compare's step on the faulting (eq) iteration only."""
-    def bad(state):
-        bits = feed(state)
+    def bad(state, mem):
+        bits = feed(state, mem)
         if bits == 2:
             state.steps -= 1
         return bits
@@ -195,6 +198,8 @@ class TestPlantedBugs:
             buggy.run()
             assert buggy.state.gpr[4] == 333  # took the wrong arm
             result = lockstep_program_traces(_branchy_program())
+            # The instruction lane never runs a fused control.
+            assert lockstep_program(_branchy_program()).ok
         assert buggy.state.gpr != clean.state.gpr
         assert not result.ok
         assert result.divergence.kind in ("pc", "register", "steps")
@@ -223,6 +228,7 @@ class TestPlantedBugs:
             with pytest.raises(SimulationError) as fast_exc:
                 fast.run()
             result = lockstep_compressed_traces(compressed)
+            assert lockstep_compressed(compressed).ok
         assert fast_exc.value.step == ref_exc.value.step - 1
         assert not _same_error(fast_exc.value, ref_exc.value)
         assert not result.ok

@@ -7,13 +7,19 @@ sharing, the step-budget fallback, fetch-hook compatibility, fetch
 accounting, profile parity, and observe wiring.
 """
 
+import random
+
 import pytest
 
 from repro import observe
 from repro.core import NibbleEncoding, compress
 from repro.errors import SimulationError
-from repro.isa.instruction import make
-from repro.machine import fastpath
+from repro.isa import registers
+from repro.isa.instruction import Instruction, make, spec_for
+from repro.machine import fastpath, fusion
+from repro.machine.executor import _HANDLERS
+from repro.machine.memory import DATA_BASE, Memory
+from repro.machine.state import MachineState
 from repro.machine.compressed_sim import CompressedSimulator
 from repro.machine.simulator import Simulator, profile_program
 
@@ -42,16 +48,153 @@ class TestImplementationSelection:
 class TestBoundThunks:
     def test_thunks_are_memoized_per_instruction(self):
         ins = make("addi", 3, 0, 7)
-        assert fastpath.bound_thunk(ins) is fastpath.bound_thunk(make("addi", 3, 0, 7))
-        assert fastpath.bound_thunk(ins) is not fastpath.bound_thunk(
-            make("addi", 3, 0, 8)
+        same = make("addi", 3, 0, 7)
+        assert fastpath.bound_thunk(ins.mnemonic, ins.values) is (
+            fastpath.bound_thunk(same.mnemonic, same.values)
+        )
+        other = make("addi", 3, 0, 8)
+        assert fastpath.bound_thunk(ins.mnemonic, ins.values) is not (
+            fastpath.bound_thunk(other.mnemonic, other.values)
         )
 
     def test_every_handler_has_a_binder(self):
-        from repro.machine.executor import CONTROL_MNEMONICS, _HANDLERS
+        # The template table is the fast path's only statement of the
+        # semantics: it must cover every executor handler.
+        missing = set(_HANDLERS) - set(fusion._TEMPLATES)
+        assert not missing, f"handlers without a template: {missing}"
 
-        missing = set(_HANDLERS) - set(fastpath._BINDERS) - CONTROL_MNEMONICS
-        assert not missing, f"handlers without a dedicated binder: {missing}"
+    def test_factories_compile_once_per_template_shape(self):
+        # Distinct operands of one shape share one compiled factory;
+        # the rA = 0 variant is a second shape.
+        for rt in range(3, 13):
+            ins = make("addi", rt, 4, rt * 7)
+            fastpath.bound_thunk(ins.mnemonic, ins.values)
+        assert fusion.fusion_stats()["factories"] == 1
+        ins = make("addi", 3, 0, 1)
+        fastpath.bound_thunk(ins.mnemonic, ins.values)
+        assert fusion.fusion_stats()["factories"] == 2
+        assert fastpath.translation_cache_stats()["thunks"] == 11
+
+
+# ----------------------------------------------------------------------
+# Oracle: every generated single thunk against the executor handler it
+# restates, ``handler(ins, state, mem)`` then ``steps += 1``.
+# ----------------------------------------------------------------------
+_EDGE_WORDS = (
+    0, 1, 31, 32, 33, 63, 0x7FFF, 0x8000, 0xFFFF, 0x7FFFFFFF,
+    0x80000000, 0x80000001, 0xFFFF8000, 0xFFFFFFFE, 0xFFFFFFFF,
+)
+_WINDOW = 4096  # bytes of seeded data memory the address registers hit
+
+
+def _draw_operand(name, rng):
+    if name in ("rT", "rA", "rS", "rB"):
+        return rng.choice((0, rng.randrange(32), rng.randrange(32)))
+    if name == "SI":
+        return rng.choice((0, 1, -1, -0x8000, 0x7FFF, rng.randrange(-0x8000, 0x8000)))
+    if name == "UI":
+        return rng.choice((0, 1, 0x8000, 0xFFFF, rng.randrange(0x10000)))
+    if name == "crfD":
+        return rng.randrange(8)
+    if name in ("SH", "MB", "ME"):
+        return rng.randrange(32)
+    if name == "SPR":
+        return rng.choice(
+            (registers.LR, registers.CTR, registers.XER, rng.randrange(1024))
+        )
+    assert name == "D(rA)", name
+    disp = rng.choice((0, 1, 2, -2, 4, -4, rng.randrange(-0x8000, 0x8000)))
+    return disp, rng.choice((0, rng.randrange(1, 32)))
+
+
+def _draw_state(rng):
+    state = MachineState()
+    for reg in range(32):
+        state.gpr[reg] = (
+            rng.choice(_EDGE_WORDS) if rng.random() < 0.5
+            else rng.randrange(1 << 32)
+        )
+    for reg in rng.sample(range(1, 32), 8):  # valid bases for D-forms
+        state.gpr[reg] = DATA_BASE + rng.randrange(_WINDOW)
+    state.cr = rng.randrange(1 << 32)
+    state.lr = rng.randrange(1 << 32)
+    state.ctr = rng.choice(_EDGE_WORDS)
+    state.steps = rng.randrange(1000)
+    return state
+
+
+def _clone(state):
+    clone = MachineState()
+    clone.gpr[:] = state.gpr
+    clone.cr, clone.lr, clone.ctr = state.cr, state.lr, state.ctr
+    clone.steps = state.steps
+    return clone
+
+
+def _outcome(run, state, mem):
+    try:
+        run(state, mem)
+    except SimulationError as exc:
+        error = (type(exc), str(exc))
+    else:
+        error = None
+    return error, state.gpr, state.cr, state.lr, state.ctr, state.steps
+
+
+def _assert_thunk_matches_handler(ins, state, mem_ref, mem_fast):
+    def reference(state, mem):
+        _HANDLERS[ins.mnemonic](ins, state, mem)
+        state.steps += 1
+
+    expected = _outcome(reference, _clone(state), mem_ref)
+    thunk = fastpath.bound_thunk(ins.mnemonic, ins.values)
+    assert _outcome(thunk, _clone(state), mem_fast) == expected, str(ins)
+
+
+@pytest.mark.parametrize("mnemonic", sorted(_HANDLERS))
+def test_generated_thunk_matches_handler(mnemonic):
+    rng = random.Random(mnemonic)
+    spec = spec_for(mnemonic)
+    image = rng.randbytes(_WINDOW)
+    mem_ref, mem_fast = Memory(image), Memory(image)
+    for _ in range(300):
+        values = tuple(_draw_operand(op.name, rng) for op in spec.operands)
+        _assert_thunk_matches_handler(
+            Instruction(spec, values), _draw_state(rng), mem_ref, mem_fast
+        )
+    assert mem_fast._bytes == mem_ref._bytes
+
+
+@pytest.mark.parametrize(
+    "mnemonic, values, registers_set",
+    [
+        ("addi", (3, 0, -5), {}),  # rA = 0 reads as zero
+        ("addis", (3, 0, -1), {}),
+        ("lwz", (3, (8, 0)), {}),  # rA = 0: absolute (unmapped) address
+        ("stwu", (3, (-4, 4)), {4: DATA_BASE + 8}),
+        ("slw", (3, 4, 5), {4: 0xFFFFFFFF, 5: 32}),  # shift amount >= 32
+        ("srw", (3, 4, 5), {4: 0xFFFFFFFF, 5: 63}),
+        ("sraw", (3, 4, 5), {4: 0x80000000, 5: 40}),
+        ("rlwinm", (3, 4, 8, 28, 3), {4: 0x12345678}),  # wrapped mask
+        ("rlwinm", (3, 4, 0, 31, 0), {4: 0xFFFFFFFF}),
+        ("divw", (3, 4, 5), {4: 7, 5: 0}),  # division by zero
+        ("divw", (3, 4, 5), {4: 0x80000000, 5: 0xFFFFFFFF}),  # INT_MIN / -1
+        ("divw", (3, 4, 5), {4: 0xFFFFFFF9, 5: 2}),  # truncates toward zero
+        ("divwu", (3, 4, 5), {4: 7, 5: 0}),
+        ("lha", (3, (0, 4)), {4: DATA_BASE}),  # negative halfword
+        ("mfspr", (3, registers.XER), {}),  # unsupported SPR
+        ("mtspr", (registers.XER, 3), {}),
+    ],
+)
+def test_edge_operands_match_handler(mnemonic, values, registers_set):
+    state = MachineState()
+    for reg, value in registers_set.items():
+        state.gpr[reg] = value
+    image = bytes([0x80, 0x01, 0xFF, 0xFE]) * 4
+    _assert_thunk_matches_handler(
+        Instruction(spec_for(mnemonic), values), state,
+        Memory(image), Memory(image),
+    )
 
 
 class TestProgramTranslationCache:
@@ -206,6 +349,19 @@ class TestStreamTranslationCache:
             fastpath.stream_cache_for(CompressedSimulator(compressed))
             is not first
         )
+
+
+class TestClearTranslationCaches:
+    def test_clear_drops_every_fast_path_memo(self, tiny_program):
+        Simulator(tiny_program).run()
+        CompressedSimulator(compress(tiny_program, NibbleEncoding())).run()
+        assert fastpath.translation_cache_stats()["thunks"] > 0
+        assert fusion.fusion_stats()["compiled"] > 0
+        fastpath.clear_translation_caches()
+        stats = fastpath.translation_cache_stats()
+        assert stats["thunks"] == stats["stream_caches"] == 0
+        fusion_stats = fusion.fusion_stats()
+        assert fusion_stats["compiled"] == fusion_stats["factories"] == 0
 
 
 class TestObserveWiring:

@@ -1,7 +1,7 @@
 """Superinstruction fusion: fused thunks must be invisible except for speed.
 
 Every fused two-instruction thunk must leave (state, memory) exactly
-where the two bound thunks would — registers, CR, steps, memory
+where the two reference handlers would — registers, CR, steps, memory
 contents, and the error raised mid-pair — for every fusable mnemonic.
 The trace-cache integration must rebuild traces when the fusion config
 changes, shrink bodies when pairs fuse, and keep the instruction-level
@@ -15,6 +15,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.isa.instruction import Instruction, make, spec_for
 from repro.machine import fastpath, fusion
+from repro.machine.executor import _HANDLERS
 from repro.machine.memory import DATA_BASE, Memory
 from repro.machine.simulator import Simulator, profile_program
 from repro.machine.state import MachineState
@@ -104,6 +105,14 @@ def _clone(state: MachineState) -> MachineState:
     return clone
 
 
+def _reference(instruction):
+    """The executor handler for one instruction, counting its step."""
+    def run(state, memory):
+        _HANDLERS[instruction.mnemonic](instruction, state, memory)
+        state.steps += 1
+    return run
+
+
 def _run(thunks, state, memory):
     try:
         for thunk in thunks:
@@ -116,8 +125,9 @@ def _run(thunks, state, memory):
 class TestFusedSemantics:
     @pytest.mark.parametrize("mnemonic", sorted(fusion.FUSABLE_MNEMONICS))
     def test_every_template_matches_bound_thunks(self, mnemonic):
-        """Fuse each mnemonic in both slots against a random partner."""
-        rng = random.Random(hash(mnemonic) & 0xFFFF)
+        """Fuse each mnemonic in both slots against a random partner and
+        check the pair against the two reference handlers in order."""
+        rng = random.Random(mnemonic)
         partners = sorted(fusion.FUSABLE_MNEMONICS)
         for trial in range(12):
             other = _sample_instruction(rng.choice(partners), rng)
@@ -125,13 +135,12 @@ class TestFusedSemantics:
             pair = (this, other) if trial % 2 == 0 else (other, this)
             fused = fusion.fused_thunk(*pair)
             assert fused is not None
-            seq = [fastpath.bound_thunk(i) for i in pair]
             state_f = _random_state(rng)
             state_s = _clone(state_f)
             mem_f = Memory(bytes(range(256)) * 32)
             mem_s = Memory(bytes(range(256)) * 32)
             err_f = _run([fused], state_f, mem_f)
-            err_s = _run(seq, state_s, mem_s)
+            err_s = _run([_reference(i) for i in pair], state_s, mem_s)
             assert (err_f is None) == (err_s is None)
             if err_f is not None:
                 assert str(err_f) == str(err_s)
@@ -221,6 +230,14 @@ class TestPlanning:
         assert fusion.config_key() != on_key
         assert fusion.active_control_pairs() == {("cmpwi", "bc")}
         fusion.configure(control_pairs=fusion.DEFAULT_CONTROL_PAIRS)
+
+    def test_unfusable_control_pairs_are_dropped(self):
+        # A memory lead can fault and a dynamic-target tail takes no
+        # lead: neither may be absorbed into a control closure.
+        fusion.configure(
+            control_pairs=[("cmpwi", "bc"), ("lwz", "bc"), ("cmpwi", "bclr")]
+        )
+        assert fusion.active_control_pairs() == {("cmpwi", "bc")}
 
     def test_plan_from_profile_mines_hot_pairs(self, tiny_program):
         counts = profile_program(tiny_program, max_steps=100_000)
