@@ -1,7 +1,7 @@
 """Optimizer pass tests on hand-built IR."""
 
 from repro.compiler import ir
-from repro.compiler.optimizer import optimize_function
+from repro.compiler.optimizer import _dead_code, optimize_function
 
 
 def make_function(instrs, next_vreg=32):
@@ -117,6 +117,32 @@ class TestCopyPropagation:
         add = [i for i in fn.instrs if isinstance(i, ir.Bin)]
         assert add and add[0].a == v(0)
 
+    def test_redefining_a_source_drops_copies_of_it(self):
+        # v1 = v0 holds only until v0 is redefined.
+        fn = make_function(
+            [
+                ir.Copy(v(1), v(0)),
+                ir.Copy(v(2), v(0)),
+                ir.Call(v(0), "g", []),
+                ir.Bin("add", v(3), v(1), v(2)),
+                ir.Ret(v(3)),
+            ]
+        )
+        optimize_function(fn)
+        add = next(i for i in fn.instrs if isinstance(i, ir.Bin))
+        assert (add.a, add.b) == (v(1), v(2))
+
+    def test_copy_facts_survive_calls(self):
+        fn = make_function(
+            [
+                ir.Copy(v(1), v(0)),
+                ir.Call(None, "g", [v(1)]),
+                ir.Ret(v(1)),
+            ]
+        )
+        optimize_function(fn)
+        assert fn.instrs[-2:] == [ir.Call(None, "g", [v(0)]), ir.Ret(v(0))]
+
 
 class TestDeadCode:
     def test_removes_unused_pure_instruction(self):
@@ -137,6 +163,31 @@ class TestDeadCode:
         optimize_function(fn)
         assert any(isinstance(i, ir.Call) for i in fn.instrs)
         assert any(isinstance(i, ir.StoreSym) for i in fn.instrs)
+
+    def test_dead_chain_goes_in_one_call(self):
+        fn = make_function(
+            [
+                ir.Copy(v(0), v(9)),
+                ir.Bin("add", v(1), v(0), ir.Imm(1)),
+                ir.Un("neg", v(2), v(1)),
+                ir.Ret(ir.Imm(0)),
+            ]
+        )
+        assert _dead_code(fn)
+        assert fn.instrs == [ir.Ret(ir.Imm(0))]
+        assert not _dead_code(fn)
+
+    def test_self_use_keeps_a_def(self):
+        # Nothing else reads v0, but its own def does: it stays, as a
+        # flow-insensitive use count cannot tell it is dead.
+        fn = make_function(
+            [
+                ir.Label("L"),
+                ir.Bin("add", v(0), v(0), ir.Imm(1)),
+                ir.Br("L"),
+            ]
+        )
+        assert not _dead_code(fn)
 
     def test_removes_unreferenced_labels(self):
         fn = make_function([ir.Label("dead"), ir.Ret(ir.Imm(0))])

@@ -92,6 +92,17 @@ class TestCallConstraints:
         assert allocation.loc(v(0)).kind == "reg"
         assert allocation.loc(v(0)).index in VOLATILE_POOL
 
+    def test_value_defined_by_call_can_be_volatile(self):
+        fn = make_function(
+            [
+                ir.Call(v(0), "g", []),
+                ir.Bin("add", v(1), v(0), ir.Imm(1)),
+                ir.Ret(v(1)),
+            ]
+        )
+        allocation = allocate(fn)
+        assert allocation.loc(v(0)).index in VOLATILE_POOL
+
     def test_out_intrinsic_constrains_like_call(self):
         fn = make_function(
             [
