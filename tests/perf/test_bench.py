@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.perf.bench import (
+    COMPRESS_SECONDS_FACTOR,
     SCHEMA,
     check_regression,
     load_baseline,
@@ -234,14 +235,11 @@ class TestBaselineFile:
         )
 
 
-def _doc(seconds):
-    return {
-        "programs": {
-            "compress": {
-                "encodings": {"nibble": {"compress_seconds": seconds}}
-            }
-        }
-    }
+def _doc(seconds, dict_speedup=None):
+    encoding = {"compress_seconds": seconds}
+    if dict_speedup is not None:
+        encoding["dict_speedup"] = dict_speedup
+    return {"programs": {"compress": {"encodings": {"nibble": encoding}}}}
 
 
 class TestRegressionGuard:
@@ -249,12 +247,31 @@ class TestRegressionGuard:
         assert check_regression(_doc(0.010), _doc(0.008)) == []
 
     def test_over_budget(self):
-        violations = check_regression(_doc(0.030), _doc(0.010))
+        violations = check_regression(_doc(0.050), _doc(0.010))
         assert len(violations) == 1
         assert "compress/nibble" in violations[0]
 
     def test_factor_is_configurable(self):
-        assert check_regression(_doc(0.030), _doc(0.010), factor=4.0) == []
+        # --guard-factor governs the within-run ratio guards.
+        current, baseline = _doc(0.010, 1.5), _doc(0.010, 3.3)
+        assert len(check_regression(current, baseline, factor=2.0)) == 1
+        assert check_regression(current, baseline, factor=4.0) == []
+
+    def test_compress_seconds_guard_is_loose_and_fixed(self):
+        # An absolute time measured against another machine's baseline:
+        # 3x is host noise, not a regression, whatever the factor.
+        assert COMPRESS_SECONDS_FACTOR == 4.0
+        assert check_regression(_doc(0.030), _doc(0.010), factor=1.5) == []
+        assert len(check_regression(_doc(0.050), _doc(0.010), factor=10.0)) == 1
+
+    def test_halved_dict_speedup_is_flagged(self):
+        violations = check_regression(_doc(0.010, 1.6), _doc(0.010, 3.3))
+        assert len(violations) == 1
+        assert "compress/nibble: dictionary speedup 1.60x" in violations[0]
+        assert check_regression(_doc(0.010, 1.7), _doc(0.010, 3.3)) == []
+
+    def test_infinite_baseline_speedup_skipped(self):
+        assert check_regression(_doc(0.010, 2.0), _doc(0.010, float("inf"))) == []
 
     def test_new_entries_skipped(self):
         current = _doc(1.0)
